@@ -6,8 +6,16 @@
 // Expected shape (paper): TLSglobals and PIEglobals slowest (they repoint
 // the TLS segment at every switch), everything within ~tens of ns of the
 // unprivatized baseline, independent of program size.
+//
+// `--quick` shrinks the run for CI smoke runs (fewer yields and
+// iterations); every other flag goes to Google Benchmark.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/jacobi.hpp"
 #include "core/privatizer.hpp"
@@ -30,8 +38,10 @@ void yield_body(void* arg) {
   for (int i = 0; i < task->iters; ++i) sched->yield();
 }
 
+int g_yields = 50000;  // per ULT per iteration; --quick lowers it
+
 void bm_ctxswitch(benchmark::State& state, core::Method method) {
-  const int yields = 50000;
+  const int yields = g_yields;
   iso::IsoArena arena({.slot_size = std::size_t{16} << 20, .max_slots = 4});
   // Rank pairs are recreated every iteration; lift the dlmopen namespace
   // cap so PIPglobals can run the full benchmark (PiP's patched glibc).
@@ -88,16 +98,41 @@ void bm_ctxswitch(benchmark::State& state, core::Method method) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(bm_ctxswitch, none, core::Method::None)->UseManualTime()->Iterations(10);
-BENCHMARK_CAPTURE(bm_ctxswitch, tlsglobals, core::Method::TLSglobals)
-    ->UseManualTime()->Iterations(10);
-BENCHMARK_CAPTURE(bm_ctxswitch, swapglobals, core::Method::Swapglobals)
-    ->UseManualTime()->Iterations(10);
-BENCHMARK_CAPTURE(bm_ctxswitch, pipglobals, core::Method::PIPglobals)
-    ->UseManualTime()->Iterations(10);
-BENCHMARK_CAPTURE(bm_ctxswitch, fsglobals, core::Method::FSglobals)
-    ->UseManualTime()->Iterations(10);
-BENCHMARK_CAPTURE(bm_ctxswitch, pieglobals, core::Method::PIEglobals)
-    ->UseManualTime()->Iterations(10);
-
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Strip --quick before Google Benchmark parses (and rejects) it.
+  bool quick = false;
+  std::vector<char*> args;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else {
+      args.push_back(argv[i]);
+    }
+  }
+  if (quick) g_yields = 5000;
+  const int iterations = quick ? 2 : 10;
+  const std::pair<const char*, core::Method> methods[] = {
+      {"none", core::Method::None},
+      {"tlsglobals", core::Method::TLSglobals},
+      {"swapglobals", core::Method::Swapglobals},
+      {"pipglobals", core::Method::PIPglobals},
+      {"fsglobals", core::Method::FSglobals},
+      {"pieglobals", core::Method::PIEglobals},
+  };
+  for (const auto& [name, method] : methods) {
+    benchmark::RegisterBenchmark(
+        (std::string("bm_ctxswitch/") + name).c_str(),
+        [method = method](benchmark::State& state) {
+          bm_ctxswitch(state, method);
+        })
+        ->UseManualTime()
+        ->Iterations(iterations);
+  }
+  int bench_argc = static_cast<int>(args.size());
+  benchmark::Initialize(&bench_argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
+    return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

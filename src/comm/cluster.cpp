@@ -84,10 +84,6 @@ Cluster::Cluster(const Config& config)
 
   pes_.reserve(total);
   tx_.reserve(total + 1);
-  const auto spin_us = std::max<std::int64_t>(
-      0, opt.get_int("transport.spin_us", 200));
-  const auto nap_us = std::max<std::int64_t>(
-      1, opt.get_int("transport.nap_us", 50));
   for (int i = 0; i < total; ++i) {
     pes_.push_back(std::make_unique<Pe>(i, node_of(i), config.backend,
                                         pe_cfg));
@@ -101,17 +97,15 @@ Cluster::Cluster(const Config& config)
       // Drain inbound shm rings every loop iteration, on the PE's own
       // thread; a locally-failed PE diverts instead of posting to a halted
       // loop (its own flag is authoritative in this process).
-      pes_.back()->set_poll_hook(
-          [this, i] {
-            return transport_->poll(i, [this, i](Message&& m) {
-              if (failed_[i].load(std::memory_order_acquire)) {
-                divert(std::move(m));
-              } else {
-                pes_[static_cast<std::size_t>(i)]->post(std::move(m));
-              }
-            });
-          },
-          spin_us, nap_us);
+      pes_.back()->set_poll_hook([this, i] {
+        return transport_->poll(i, [this, i](Message&& m) {
+          if (failed_[i].load(std::memory_order_acquire)) {
+            divert(std::move(m));
+          } else {
+            pes_[static_cast<std::size_t>(i)]->post(std::move(m));
+          }
+        });
+      });
     }
   }
   tx_.push_back(std::make_unique<PeTx>());  // sends from non-PE threads

@@ -61,10 +61,6 @@ struct CommCounters {
 ///                        heartbeat period (25) and staleness threshold
 ///                        before a silent peer process is declared dead
 ///                        (1000; a vanished pid is declared dead immediately)
-///  - transport.spin_us / transport.nap_us
-///                        PE idle policy while remote rings exist: busy-poll
-///                        window after last activity (200), then idle_wait
-///                        nap length (50)
 ///
 /// Scheduler options (`sched.*` keys, applied to every PE's runqueue):
 ///  - sched.policy        "prio" (default; three-lane runqueue) or "fifo"

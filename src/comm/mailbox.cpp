@@ -92,6 +92,13 @@ std::size_t Mailbox::pop_batch(std::vector<Message>& out, std::size_t max) {
     std::deque<Message> batch;
     {
       std::lock_guard<std::mutex> lock(overflow_mutex_);
+      // Test again under the lock. A producer that read overflow_nonempty_
+      // == false before the overflow began may have claimed a ring slot
+      // since the test above and then pushed its next message here; taking
+      // the overflow now would deliver that later message first. A push
+      // already in the overflow was made under this lock, after its
+      // producer's earlier ring claims, so this load sees those claims.
+      if (head_.load(std::memory_order_acquire) != pos) return n;
       batch.swap(overflow_);
       overflow_count_.fetch_sub(batch.size(), std::memory_order_relaxed);
       overflow_nonempty_.store(false, std::memory_order_release);

@@ -1,5 +1,6 @@
 #include "comm/pe.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -20,7 +21,21 @@ thread_local Pe* g_current_pe = nullptr;
 // enough that a spin-waiting peer stalls only microseconds; large enough
 // that bins still batch across bursts of back-to-back sends.
 constexpr std::size_t kQuietSlicesBeforeFlush = 64;
+
+// PEs of this process inside their spin window (capped by max_spinners).
+std::atomic<int> g_spinners{0};
+
+bool claim_spinner() noexcept {
+  if (g_spinners.fetch_add(1, std::memory_order_relaxed) < Pe::max_spinners())
+    return true;
+  g_spinners.fetch_sub(1, std::memory_order_relaxed);
+  return false;
 }
+
+void release_spinner() noexcept {
+  g_spinners.fetch_sub(1, std::memory_order_relaxed);
+}
+}  // namespace
 
 Pe* Pe::current() noexcept { return g_current_pe; }
 
@@ -55,21 +70,21 @@ void Pe::set_stop_drain(StopDrain drain) {
   stop_drain_ = std::move(drain);
 }
 
-void Pe::set_poll_hook(PollHook hook, std::int64_t spin_us,
-                       std::int64_t nap_us) {
+void Pe::set_poll_hook(PollHook hook) {
   require(!running_.load(), ErrorCode::BadState,
           "cannot change the poll hook while the PE loop runs");
   poll_hook_ = std::move(hook);
-  poll_spin_us_ = spin_us < 0 ? 0 : spin_us;
-  poll_nap_us_ = nap_us < 1 ? 1 : nap_us;
 }
 
 void Pe::post(Message&& msg) {
   mailbox_.push(std::move(msg));
-  // Wake the scheduler's idle wait; ready() notification path is reused by
-  // sharing its condition variable via a zero-cost trick: idle_wait also
-  // re-checks the mailbox through the stop predicate we pass in run_loop.
-  sched_.ready_notify();
+  sched_.wake();
+}
+
+int Pe::max_spinners() noexcept {
+  static const int cap =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) - 1;
+  return cap;
 }
 
 bool Pe::drain_mailbox() {
@@ -108,7 +123,6 @@ void Pe::run_loop() {
   running_.store(true);
   APV_DEBUG("pe", "PE %d (node %d) loop starting", id_, node_);
   std::size_t quiet_streak = 0;
-  auto last_activity = std::chrono::steady_clock::now();
   for (;;) {
     // Transport poll first: envelopes it pulls off the shm rings land in our
     // own mailbox (posted from this thread) and the drain right below
@@ -117,7 +131,7 @@ void Pe::run_loop() {
     const bool had_msgs = drain_mailbox() || polled > 0;
     const bool ran = sched_.run_one();
     if (had_msgs || ran) {
-      if (poll_hook_) last_activity = std::chrono::steady_clock::now();
+      if (idle_ != Idle::Busy) end_idle();
       // A ULT can keep the scheduler busy forever while logically waiting on
       // remote progress (e.g. a recovery leader spin-yielding on a peer). If
       // such a spin left a message in an aggregation bin, the peer in turn
@@ -134,38 +148,20 @@ void Pe::run_loop() {
       continue;
     }
     quiet_streak = 0;
-    run_idle_hooks();
-    if (stop_.load() || failed_.load()) {
+    // The hooks run when the PE goes idle and after each park, not on every
+    // pass of the spin window: that keeps their cadence (steal attempts,
+    // load slices) what it is without the window, and the window cheap.
+    if (idle_ != Idle::Spinning) run_idle_hooks();
+    if (halting()) {
       // Exit only when really quiescent: a message may have raced in (and
       // the idle hooks above may have flushed aggregation bins our way).
       if (mailbox_.empty() && sched_.ready_count() == 0) break;
       continue;
     }
-    if (poll_hook_) {
-      // Cross-process producers cannot wake this scheduler, so an idle_wait
-      // here would add its full timeout to every remote message's latency.
-      // Spin (yielding, so a same-core peer process still runs) for a short
-      // window after the last activity, then fall back to short naps.
-      const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration_cast<std::chrono::microseconds>(
-              now - last_activity)
-              .count() < poll_spin_us_) {
-        std::this_thread::yield();
-        continue;
-      }
-      sched_.idle_wait(
-          [this] {
-            return stop_.load() || failed_.load() || mailbox_depth() > 0;
-          },
-          poll_nap_us_);
-      continue;
-    }
-    sched_.idle_wait(
-        [this] {
-          return stop_.load() || failed_.load() || mailbox_depth() > 0;
-        },
-        200);
+    idle();
   }
+  if (idle_ == Idle::Spinning) release_spinner();
+  idle_ = Idle::Busy;
   // Orderly stop (not a simulated crash): let the upper layer unwind
   // whatever is still parked on this scheduler, on this thread, while the
   // switch hooks and sigaltstack are still in place.
@@ -176,11 +172,45 @@ void Pe::run_loop() {
             static_cast<unsigned long long>(processed_));
 }
 
-void Pe::stop() { stop_.store(true); sched_.ready_notify(); }
+void Pe::idle() {
+  const auto now = std::chrono::steady_clock::now();
+  if (idle_ == Idle::Busy) {
+    if (claim_spinner()) {
+      idle_ = Idle::Spinning;
+      spin_end_ = now + std::chrono::microseconds(kSpinWindowUs);
+    } else {
+      idle_ = Idle::Parking;  // spinner cap taken: park at once
+      ++parks_;
+    }
+  }
+  if (idle_ == Idle::Spinning) {
+    if (now < spin_end_) {
+      // Yield rather than pause, so a PE or peer process sharing this core
+      // still runs.
+      std::this_thread::yield();
+      return;
+    }
+    release_spinner();
+    idle_ = Idle::Parking;
+    ++parks_;
+  }
+  sched_.idle_wait([this] { return halting() || mailbox_depth() > 0; },
+                   poll_hook_ ? kShmNapUs : kParkUs);
+}
+
+void Pe::end_idle() {
+  if (idle_ == Idle::Spinning) {
+    release_spinner();
+    ++spin_wakes_;
+  }
+  idle_ = Idle::Busy;
+}
+
+void Pe::stop() { stop_.store(true); sched_.wake(); }
 
 void Pe::fail() {
   failed_.store(true);
-  sched_.ready_notify();
+  sched_.wake();
   APV_WARN("pe", "PE %d declared failed; draining backlog and halting", id_);
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "comm/mailbox.hpp"
 #include "comm/message.hpp"
 #include "ult/scheduler.hpp"
+#include "util/stats.hpp"
 
 namespace apv::comm {
 
@@ -26,7 +28,7 @@ class Pe {
  public:
   /// Runs on the PE thread for every received message.
   using Dispatcher = std::function<void(Message&&)>;
-  /// Runs once per idle loop iteration (progress hook for the upper layer).
+  /// Runs when the loop goes idle (progress hook for the upper layer).
   using IdleHook = std::function<void()>;
   /// Drains this PE's inbound cross-process transport rings; returns how
   /// many envelopes it moved (they land in the mailbox via post, so the
@@ -57,8 +59,9 @@ class Pe {
 
   /// Installs the message dispatcher. Must happen before the loop starts.
   void set_dispatcher(Dispatcher dispatcher);
-  /// Registers an idle hook; all hooks run, in registration order, once per
-  /// idle loop iteration (before the loop considers sleeping or exiting).
+  /// Registers an idle hook; all hooks run, in registration order, when the
+  /// loop goes idle and after each park (before the loop considers sleeping
+  /// or exiting), but not on the polling passes of the spin window.
   /// The comm layer uses one to flush aggregation bins; the MPI layer uses
   /// one to close load-accounting slices.
   void add_idle_hook(IdleHook hook);
@@ -66,15 +69,12 @@ class Pe {
   void set_stop_drain(StopDrain drain);
   /// Installs the transport poll hook. Remote traffic arrives with no wakeup
   /// signal (the producer is in another process and cannot notify this
-  /// scheduler), so while a hook is installed the idle path busy-polls
-  /// (yielding) for `spin_us` after the last activity, then naps in
-  /// idle_wait slices of `nap_us` instead of the default 200µs — bounding
-  /// added latency without burning the host when truly idle. Must happen
-  /// before the loop starts.
-  void set_poll_hook(PollHook hook, std::int64_t spin_us,
-                     std::int64_t nap_us);
+  /// scheduler), so while a hook is installed the park is a short timed nap
+  /// (kShmNapUs) instead of the kParkUs condvar wait. Must happen before the
+  /// loop starts.
+  void set_poll_hook(PollHook hook);
 
-  /// Thread-safe: enqueues a message and wakes the PE if idle.
+  /// Thread-safe: enqueues a message and wakes the PE if it is parked.
   void post(Message&& msg);
 
   std::size_t mailbox_depth() const { return mailbox_.size_approx(); }
@@ -103,12 +103,48 @@ class Pe {
 
   std::uint64_t messages_processed() const noexcept { return processed_; }
 
+  // --- idle policy (one path for every backend) ----------------------------
+  //
+  // When an iteration of the loop finds no work, the PE runs its idle hooks
+  // and spins: it keeps polling its mailbox, ready queue and transport poll
+  // hook, yielding the CPU between passes, for kSpinWindowUs. Work arriving
+  // inside the window is picked up with no wakeup at all. After the window
+  // it parks. At most max_spinners() PEs of the process spin at once — one
+  // core is left for the PEs doing work — and a PE that finds the cap taken
+  // parks at once, so oversubscribed runs do not burn the cores their busy
+  // PEs need.
+
+  /// Spin window after the last activity, in microseconds.
+  static constexpr std::int64_t kSpinWindowUs = 50;
+  /// In-process park: a condvar wait producers cut short via post()/ready().
+  /// The timeout only paces the idle hooks (steal retries, load slices).
+  static constexpr std::int64_t kParkUs = 200;
+  /// Park with a transport poll hook: producers in another process cannot
+  /// notify, so this bounds the latency their messages can add.
+  static constexpr std::int64_t kShmNapUs = 50;
+
+  /// How many PEs of this process may spin at once: one less than the
+  /// hardware threads (0 on a single-core host).
+  static int max_spinners() noexcept;
+
+  /// Idle periods that ended in a park (counted when the park begins).
+  /// Single-writer (the PE thread); readable from any thread.
+  std::uint64_t park_count() const noexcept { return parks_.get(); }
+  /// Idle periods that ended by work arriving inside the spin window.
+  std::uint64_t spin_wake_count() const noexcept { return spin_wakes_.get(); }
+
   /// The PE whose loop is executing on the calling thread, or nullptr.
   static Pe* current() noexcept;
 
  private:
   bool drain_mailbox();
   void run_idle_hooks();
+  /// True when the loop may exit or must look again at once.
+  bool halting() const noexcept { return stop_.load() || failed_.load(); }
+  /// One idle iteration: spin (yield) inside the window, else park.
+  void idle();
+  /// Closes the idle period the last iteration left open, if any.
+  void end_idle();
 
   PeId id_;
   NodeId node_;
@@ -117,8 +153,13 @@ class Pe {
   std::vector<IdleHook> idle_hooks_;
   StopDrain stop_drain_;
   PollHook poll_hook_;
-  std::int64_t poll_spin_us_ = 200;
-  std::int64_t poll_nap_us_ = 50;
+
+  // Idle-period state, owned by the PE thread.
+  enum class Idle { Busy, Spinning, Parking };
+  Idle idle_ = Idle::Busy;
+  std::chrono::steady_clock::time_point spin_end_;
+  util::OwnedCounter parks_;
+  util::OwnedCounter spin_wakes_;
 
   Mailbox mailbox_;
   std::size_t drain_batch_;

@@ -13,6 +13,7 @@ void Runtime::do_load_balance(RankMpi& rm, const std::string& strategy) {
   const CommInfo& world = comm_info(kCommWorld);
   const int n = world.size();
   const int me = rm.world_rank;
+  rm.in_lb = true;
 
   // Allgather (load, pe) so every rank can run the strategy independently
   // and deterministically — no central decision maker needed.
@@ -81,6 +82,7 @@ void Runtime::do_load_balance(RankMpi& rm, const std::string& strategy) {
   const comm::PeId my_dest = dest[static_cast<std::size_t>(me)];
   if (my_dest != rm.resident_pe) do_migrate_to(rm, my_dest);
   do_barrier(rm, kCommWorld);
+  rm.in_lb = false;
 
   // Steal interplay: the epoch just rebalanced deliberately (and the
   // allgather above used rm.resident_pe, so earlier steals were already

@@ -91,6 +91,10 @@ struct RankMpi {
   std::string pending_check;
 
   bool waiting = false;  ///< ULT suspended inside a wait/recv loop
+  /// Inside do_load_balance: not stealable. The epoch's assignment is
+  /// computed from where every rank stood at its allgather, so a steal
+  /// before the rank's own move would undo that move.
+  bool in_lb = false;
   bool finished = false;
   void* entry_ret = nullptr;
   bool failed = false;

@@ -1428,17 +1428,17 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief,
   while (shipped < quota) {
     // Candidates: ready (queued, not running, not blocked), not entangled
     // in a collective (group blocks and gate shards hold per-PE
-    // references), not under any control operation, and not this PE's only
-    // resident. The busiest candidate goes — it is the one most worth
-    // running elsewhere. Re-picked each iteration: shipping one changes
-    // who is busiest next.
+    // references) or a load-balancing epoch, not under any control
+    // operation, and not this PE's only resident. The busiest candidate
+    // goes — it is the one most worth running elsewhere. Re-picked each
+    // iteration: shipping one changes who is busiest next.
     RankMpi* best = nullptr;
     for (const auto& [rank, rm] : ps.resident) {
       if (rm->finished || rm->failed || rm->waiting) continue;
       if (rm->migrate_dest != comm::kInvalidPe || rm->ckpt_pending ||
           rm->restore_pending)
         continue;
-      if (rm->coll_depth > 0) continue;
+      if (rm->coll_depth > 0 || rm->in_lb) continue;
       if (rm->rc->ult->state() != ult::UltState::Ready) continue;
       if (best == nullptr || rm->busy_time() > best->busy_time()) best = rm;
     }
@@ -1818,21 +1818,25 @@ util::Counters Runtime::sched_counters() const {
   auto& cluster = const_cast<comm::Cluster&>(*cluster_);
   std::uint64_t hi = 0, normal = 0, bulk = 0;
   std::uint64_t preempts = 0, overruns = 0, remote = 0;
+  std::uint64_t parks = 0, spin_wakes = 0;
   for (int p = 0; p < cluster.num_pes(); ++p) {
-    const ult::Scheduler& s = cluster.pe(p).scheduler();
+    comm::Pe& pe = cluster.pe(p);
+    const ult::Scheduler& s = pe.scheduler();
     hi += s.lane_dispatches(ult::Lane::High);
     normal += s.lane_dispatches(ult::Lane::Normal);
     bulk += s.lane_dispatches(ult::Lane::Bulk);
     preempts += s.preempt_count();
     overruns += s.overrun_count();
     remote += s.remote_ready_count();
+    parks += pe.park_count();
+    spin_wakes += pe.spin_wake_count();
   }
   std::uint64_t reqs = 0, fails = 0, in = 0, out = 0;
   for (const PeState& ps : pe_state_) {
-    reqs += ps.steal_requests;
-    fails += ps.steal_fails;
-    in += ps.steals_in;
-    out += ps.steals_out;
+    reqs += ps.steal_requests.get();
+    fails += ps.steal_fails.get();
+    in += ps.steals_in.get();
+    out += ps.steals_out.get();
   }
   c.set("sched_dispatch_high", hi);
   c.set("sched_dispatch_normal", normal);
@@ -1840,6 +1844,8 @@ util::Counters Runtime::sched_counters() const {
   c.set("sched_preemptions", preempts);
   c.set("sched_quantum_overruns", overruns);
   c.set("sched_remote_readies", remote);
+  c.set("sched_parks", parks);
+  c.set("sched_spin_wakes", spin_wakes);
   c.set("sched_steal_requests", reqs);
   c.set("sched_steal_fails", fails);
   c.set("sched_steals_in", in);
@@ -1873,14 +1879,14 @@ util::Counters Runtime::locality_counters() const {
   std::uint64_t leader_msgs = 0, local_combines = 0, shared_rdv = 0;
   std::uint64_t vec_bytes = 0;
   for (const PeState& ps : pe_state_) {
-    hits += ps.inline_hits;
-    misses += ps.inline_misses;
-    bytes += ps.inline_bytes;
-    fifo += ps.inline_fifo_fallbacks;
-    leader_msgs += ps.coll_leader_msgs;
-    local_combines += ps.coll_local_combines;
-    shared_rdv += ps.coll_shared_rendezvous;
-    vec_bytes += ps.coll_vec_bytes;
+    hits += ps.inline_hits.get();
+    misses += ps.inline_misses.get();
+    bytes += ps.inline_bytes.get();
+    fifo += ps.inline_fifo_fallbacks.get();
+    leader_msgs += ps.coll_leader_msgs.get();
+    local_combines += ps.coll_local_combines.get();
+    shared_rdv += ps.coll_shared_rendezvous.get();
+    vec_bytes += ps.coll_vec_bytes.get();
   }
   c.set("inline_hits", hits);
   c.set("inline_misses", misses);

@@ -260,20 +260,21 @@ class Runtime {
     // so the thief retries after steal_timeout).
     std::uint64_t idle_since_ns = 0;
     std::uint64_t steal_req_ns = 0;
-    std::uint64_t steal_requests = 0;
-    std::uint64_t steal_fails = 0;
-    std::uint64_t steals_in = 0;
-    std::uint64_t steals_out = 0;
-    // Locality counters, written only by this PE's loop thread (summed by
-    // locality_counters() after the fact).
-    std::uint64_t inline_hits = 0;
-    std::uint64_t inline_misses = 0;
-    std::uint64_t inline_bytes = 0;
-    std::uint64_t inline_fifo_fallbacks = 0;
-    std::uint64_t coll_leader_msgs = 0;
-    std::uint64_t coll_local_combines = 0;
-    std::uint64_t coll_shared_rendezvous = 0;
-    std::uint64_t coll_vec_bytes = 0;  ///< bytes through vector shared blocks
+    // Steal and locality counters: written only by this PE's loop thread,
+    // summed by sched_counters() / locality_counters() on any thread, at
+    // any time (a job may be running).
+    util::OwnedCounter steal_requests;
+    util::OwnedCounter steal_fails;
+    util::OwnedCounter steals_in;
+    util::OwnedCounter steals_out;
+    util::OwnedCounter inline_hits;
+    util::OwnedCounter inline_misses;
+    util::OwnedCounter inline_bytes;
+    util::OwnedCounter inline_fifo_fallbacks;
+    util::OwnedCounter coll_leader_msgs;
+    util::OwnedCounter coll_local_combines;
+    util::OwnedCounter coll_shared_rendezvous;
+    util::OwnedCounter coll_vec_bytes;  ///< bytes through vector shared blocks
   };
 
   static void rank_body(void* arg);

@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/sanitizers.hpp"
 #include "util/timer.hpp"
 
 namespace apv::ult {
@@ -130,11 +131,9 @@ void Scheduler::ready(Ult* t, Lane lane) {
   } while (!remote_head_.compare_exchange_weak(head, t,
                                                std::memory_order_release,
                                                std::memory_order_relaxed));
-  bump(remote_readies_);
-  // Pass through the mutex before notifying so the wakeup cannot land
-  // between the sleeper's predicate check and its wait (see header).
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  cv_.notify_one();
+  // Many producers can land here at once, so this bump is an RMW.
+  remote_readies_.fetch_add(1, std::memory_order_relaxed);
+  wake();
 }
 
 void Scheduler::drain_remote() {
@@ -237,13 +236,27 @@ void Scheduler::run_until_quiescent() {
 bool Scheduler::idle_wait(const std::function<bool()>& stop,
                           std::int64_t timeout_us) {
   bind_owner();
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [&] { return ready_count() > 0 || stop(); });
+  parked_.store(true, std::memory_order_relaxed);
+  // Dekker pair with wake(): publish parked_ before reading the predicate.
+  util::seq_cst_fence();
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                 [&] { return ready_count() > 0 || stop(); });
+  }
+  parked_.store(false, std::memory_order_relaxed);
   return ready_count() > 0;
 }
 
-void Scheduler::ready_notify() { cv_.notify_one(); }
+void Scheduler::wake() {
+  // Dekker pair with idle_wait(): publish the work before reading parked_.
+  util::seq_cst_fence();
+  if (!parked_.load(std::memory_order_relaxed)) return;
+  // Pass through the mutex before notifying so the wakeup cannot land
+  // between the sleeper's predicate check and its wait.
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  cv_.notify_one();
+}
 
 void Scheduler::leave_current(UltState new_state) {
   Ult* self = current_;

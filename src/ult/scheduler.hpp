@@ -36,7 +36,7 @@ using SwitchHook = std::function<void(Ult* next)>;
 ///  - Any other thread: a lock-free MPSC Treiber stack (intrusive
 ///    Ult::remote_next_), reversed into FIFO order when the owner drains
 ///    it. The scheduler mutex is only ever taken around the idle_wait
-///    sleep and its paired notify.
+///    sleep and a wake() that finds the owner parked in it.
 ///
 /// Cooperative preemption (config.preempt): enter() stamps a slice start,
 /// and preempt_point() — called by the runtime at safe points (message
@@ -74,13 +74,22 @@ class Scheduler {
   /// Runs ready ULTs until the ready queue drains.
   void run_until_quiescent();
 
-  /// Blocks the PE thread until a ULT becomes ready or stop() turns true,
+  /// Parks the PE thread until a ULT becomes ready or stop() turns true,
   /// up to timeout_us. Returns true if ready work is available.
+  ///
+  /// Entering the park publishes parked_ and then, behind a seq_cst fence
+  /// (util::seq_cst_fence), evaluates the predicate; wake() publishes its
+  /// work, fences, and reads parked_. One side of this Dekker pair always
+  /// sees the other, so either the owner finds the work without sleeping or
+  /// the producer finds the owner parked and notifies it — a wakeup cannot
+  /// be lost, and producers of an owner that is not parked never touch the
+  /// mutex or the condvar.
   bool idle_wait(const std::function<bool()>& stop, std::int64_t timeout_us);
 
-  /// Wakes an idle_wait early (e.g. after external work such as a mailbox
-  /// post that the stop predicate will observe).
-  void ready_notify();
+  /// Wakes an idle_wait early, if the owner is parked in one. Call after
+  /// publishing the work (an atomic store the idle_wait predicate reads,
+  /// such as a mailbox push). Callable from any thread.
+  void wake();
 
   /// Queued ULTs (all lanes + undrained cross-thread pushes). Lock-free;
   /// safe from any thread (steal victim selection reads peers' depths).
@@ -198,9 +207,11 @@ class Scheduler {
   std::atomic<std::uint64_t> remote_n_{0};
   std::atomic<std::thread::id> owner_{};
 
-  // mutex_/cv_ exist only for the idle_wait sleep: a cross-thread ready()
-  // takes the (empty) critical section before notifying so a wakeup cannot
-  // slip between the sleeper's predicate check and its wait.
+  // parked_/mutex_/cv_ exist only for the idle_wait sleep (see idle_wait
+  // for the protocol). wake() takes the (empty) critical section before
+  // notifying so a wakeup cannot slip between the sleeper's predicate
+  // check and its wait.
+  std::atomic<bool> parked_{false};
   mutable std::mutex mutex_;
   std::condition_variable cv_;
 

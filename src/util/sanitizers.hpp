@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 
 // Zero-overhead sanitizer hooks (DESIGN.md §14).
@@ -102,6 +103,21 @@ APV_NO_SANITIZE_ADDRESS inline void raw_memset(void* dst, int value,
   for (std::size_t i = 0; i < n; ++i) d[i] = static_cast<unsigned char>(value);
 #else
   __builtin_memset(dst, value, n);
+#endif
+}
+
+/// A seq_cst fence, for Dekker-style handshakes (Scheduler::idle_wait vs
+/// wake). TSan does not model standalone fences (GCC warns, -Wtsan), so
+/// under TSan both sides instead do a seq_cst RMW on one shared cell: the
+/// later RMW reads from the earlier, which orders the two sides just as
+/// the fences do, and TSan sees that order. In other builds it is the
+/// plain fence.
+inline void seq_cst_fence() noexcept {
+#if APV_TSAN
+  static std::atomic<int> cell{0};
+  cell.fetch_add(0, std::memory_order_seq_cst);
+#else
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 #endif
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -27,6 +28,33 @@ class Counters {
 
  private:
   std::map<std::string, std::uint64_t> values_;
+};
+
+/// A monotonic counter with one writing thread and readers on any thread:
+/// a relaxed atomic bumped with a plain load and store (no RMW), so the
+/// writer pays what a plain increment costs and a snapshot taken while it
+/// runs is race-free. Copying copies the current value.
+class OwnedCounter {
+ public:
+  OwnedCounter() = default;
+  OwnedCounter(const OwnedCounter& other) noexcept : v_(other.get()) {}
+  OwnedCounter& operator=(const OwnedCounter& other) noexcept {
+    v_.store(other.get(), std::memory_order_relaxed);
+    return *this;
+  }
+
+  OwnedCounter& operator+=(std::uint64_t delta) noexcept {
+    v_.store(v_.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+    return *this;
+  }
+  OwnedCounter& operator++() noexcept { return *this += 1; }
+  std::uint64_t get() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).

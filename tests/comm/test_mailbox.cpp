@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "comm/mailbox.hpp"
 #include "comm/message.hpp"
 #include "comm/payload.hpp"
+#include "comm/pe.hpp"
 
 using namespace apv;
 using comm::Mailbox;
@@ -198,7 +200,10 @@ TEST(Mailbox, OverflowPreservesFifo) {
 
 namespace {
 
-void run_mpsc_stress(Mailbox::Mode mode) {
+// One round: producers push concurrently into a small ring while the
+// consumer drains and checks per-sender FIFO. Reordering is reported, not
+// asserted, so the producers are always joined before the round returns.
+void mpsc_stress_round(Mailbox::Mode mode) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 4000;
   Mailbox::Config cfg;
@@ -220,6 +225,7 @@ void run_mpsc_stress(Mailbox::Mode mode) {
 
   std::map<int, std::uint64_t> next_seq;
   std::size_t total = 0;
+  bool reordered = false;
   std::vector<Message> out;
   while (total < static_cast<std::size_t>(kProducers) * kPerProducer) {
     out.clear();
@@ -230,9 +236,12 @@ void run_mpsc_stress(Mailbox::Mode mode) {
     for (Message& m : out) {
       // FIFO per sender: each producer's sequence arrives in order.
       auto [it, inserted] = next_seq.try_emplace(m.src_pe, 0);
-      ASSERT_EQ(m.seq, it->second)
-          << "producer " << m.src_pe << " reordered";
-      ++it->second;
+      if (m.seq != it->second && !reordered) {
+        reordered = true;
+        ADD_FAILURE() << "producer " << m.src_pe << " reordered: got seq "
+                      << m.seq << ", expected " << it->second;
+      }
+      it->second = m.seq + 1;
       const std::size_t bytes = m.payload.size();
       if (bytes > 0) {
         EXPECT_EQ(m.payload.data()[0], static_cast<std::byte>(m.seq));
@@ -248,10 +257,57 @@ void run_mpsc_stress(Mailbox::Mode mode) {
     EXPECT_EQ(n, static_cast<std::uint64_t>(kPerProducer)) << "producer " << p;
 }
 
+// The reordering window is a few instructions wide, so one round catches a
+// FIFO bug only sometimes; repeating the round inside the test makes a
+// regression fail on essentially every run (each round takes ~15 ms).
+void run_mpsc_stress(Mailbox::Mode mode) {
+  constexpr int kRounds = 24;
+  for (int r = 0; r < kRounds && !::testing::Test::HasFailure(); ++r)
+    mpsc_stress_round(mode);
+}
+
 }  // namespace
 
 TEST(Mailbox, MpscStressRing) { run_mpsc_stress(Mailbox::Mode::Ring); }
 
 TEST(Mailbox, MpscStressMutexBaseline) {
   run_mpsc_stress(Mailbox::Mode::Mutex);
+}
+
+// --- PE wake ----------------------------------------------------------------
+
+// The park/post handshake: the owner parks with a timeout of seconds each
+// round while another thread posts exactly as it parks. Pe::post wakes the
+// parked owner through the scheduler's Dekker pair (parked flag vs mailbox
+// push, see Scheduler::idle_wait); a wakeup lost between the owner's
+// predicate check and its wait would show as a multi-second stall.
+TEST(PeWake, PostAgainstParkNeverLosesAWake) {
+  constexpr int kRounds = 20000;
+  constexpr std::int64_t kParkUs = 5'000'000;
+  comm::Pe pe(0, 0);
+  std::atomic<int> turn{-1};
+  std::atomic<bool> abort{false};
+  std::thread producer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      while (turn.load(std::memory_order_acquire) < i && !abort.load())
+        std::this_thread::yield();
+      if (abort.load()) return;
+      pe.post(make_msg(1, static_cast<std::uint64_t>(i), 0));
+    }
+  });
+  int done = 0;
+  for (; done < kRounds; ++done) {
+    const auto want = static_cast<std::size_t>(done) + 1;
+    turn.store(done, std::memory_order_release);
+    const auto t0 = std::chrono::steady_clock::now();
+    pe.scheduler().idle_wait([&] { return pe.mailbox_depth() >= want; },
+                             kParkUs);
+    if (std::chrono::steady_clock::now() - t0 > std::chrono::seconds(1)) {
+      ADD_FAILURE() << "round " << done << ": the post did not wake the park";
+      abort.store(true);
+      break;
+    }
+  }
+  producer.join();
+  EXPECT_EQ(done, kRounds);
 }

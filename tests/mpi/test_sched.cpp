@@ -8,8 +8,10 @@
 #include <cstring>
 #include <vector>
 
+#include "comm/pe.hpp"
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
+#include "util/sanitizers.hpp"
 #include "util/stats.hpp"
 
 using namespace apv;
@@ -343,4 +345,99 @@ TEST(SchedSteal, StealSurvivesPeFailure) {
   for (int r = 0; r < cfg.vps; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
+}
+
+// --- idle policy: spin, then park ---------------------------------------------
+
+namespace {
+
+constexpr int kPingPongTrips = 2000;
+
+void* pingpong_main(void* arg) {
+  auto* env = static_cast<Env*>(arg);
+  const int peer = 1 - env->rank();
+  int v = 0;
+  for (int i = 0; i < kPingPongTrips; ++i) {
+    if (env->rank() == 0) {
+      env->send(&i, 1, Datatype::Int, peer, 7);
+      env->recv(&v, 1, Datatype::Int, peer, 8);
+      if (v != i) return nullptr;
+    } else {
+      env->recv(&v, 1, Datatype::Int, peer, 7);
+      env->send(&v, 1, Datatype::Int, peer, 8);
+    }
+  }
+  return reinterpret_cast<void*>(std::intptr_t{1});
+}
+
+constexpr int kTokenLaps = 200;
+
+void* token_ring_main(void* arg) {
+  auto* env = static_cast<Env*>(arg);
+  const int me = env->rank();
+  const int n = env->size();
+  int token = 0;
+  for (int lap = 0; lap < kTokenLaps; ++lap) {
+    if (me == 0) {
+      env->send(&token, 1, Datatype::Int, 1, 9);
+      env->recv(&token, 1, Datatype::Int, n - 1, 9);
+    } else {
+      env->recv(&token, 1, Datatype::Int, me - 1, 9);
+      ++token;
+      env->send(&token, 1, Datatype::Int, (me + 1) % n, 9);
+    }
+  }
+  return reinterpret_cast<void*>(std::intptr_t{me == 0 ? token : 1});
+}
+
+mpi::RuntimeConfig idle_config(int pes) {
+  mpi::RuntimeConfig cfg;
+  cfg.nodes = 1;
+  cfg.pes_per_node = pes;
+  cfg.vps = pes;  // one rank per PE: every message crosses PEs
+  cfg.method = core::Method::PIEglobals;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  // Pinned so the suite-wide APV_* arming cannot add idle-hook traffic.
+  cfg.options.set("sched.steal", "off");
+  cfg.options.set("sched.preempt", "off");
+  cfg.options.set("transport.backend", "inproc");
+  return cfg;
+}
+
+}  // namespace
+
+// A cross-PE ping-pong leaves each PE idle once per round trip, for about
+// one message latency: well inside the spin window, so most idle periods
+// must end as spin wakes, not parks.
+TEST(SchedIdle, CrossPePingPongEndsIdleInSpinWakes) {
+  if (comm::Pe::max_spinners() < 2)
+    GTEST_SKIP() << "two PEs can spin together only on 3+ hardware threads";
+  img::ProgramImage image = build_entry("pingpong", &pingpong_main);
+  mpi::Runtime rt(image, idle_config(2));
+  rt.run();
+  for (int r = 0; r < 2; ++r)
+    EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
+  const util::Counters c = rt.sched_counters();
+  const std::uint64_t spins = c.get("sched_spin_wakes");
+  const std::uint64_t parks = c.get("sched_parks");
+  // Two PEs, each idle about once per trip.
+  EXPECT_GT(spins + parks, static_cast<std::uint64_t>(kPingPongTrips));
+#if !APV_TSAN
+  // Under TSan a hop takes longer than the spin window, so only the
+  // counting above holds there.
+  EXPECT_GT(spins, parks) << "spin wakes " << spins << ", parks " << parks;
+#endif
+}
+
+// More PEs than may spin: whenever the others hold every spinner slot, a PE
+// going idle parks at once. A token ring keeps all but one PE idle at every
+// moment, so it must park, and it must still finish with the right token.
+TEST(SchedIdle, OversubscribedRunParks) {
+  const int pes = comm::Pe::max_spinners() + 2;
+  img::ProgramImage image = build_entry("tokenring", &token_ring_main);
+  mpi::Runtime rt(image, idle_config(pes));
+  rt.run();
+  EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(0)),
+            kTokenLaps * (pes - 1));
+  EXPECT_GT(rt.sched_counters().get("sched_parks"), 0u);
 }

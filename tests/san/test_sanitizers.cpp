@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "comm/payload.hpp"
+#include "image/image.hpp"
 #include "isomalloc/slot_heap.hpp"
+#include "mpi/runtime.hpp"
 #include "ult/scheduler.hpp"
 #include "util/sanitizers.hpp"
 
@@ -105,6 +107,82 @@ TEST(SanStress, CrossThreadReadyVsOwnerDrainAndUnqueue) {
   sched.ready(&parked);
   sched.run_until_quiescent();
   EXPECT_EQ(parked.state(), ult::UltState::Done);
+}
+
+namespace {
+
+// Same-PE and cross-PE sends plus hierarchical allreduces: the inline and
+// collective counter families both move while the job runs.
+void* counter_traffic_main(void* arg) {
+  auto* env = static_cast<mpi::Env*>(arg);
+  const int me = env->rank();
+  const int n = env->size();
+  long acc = 0;
+  for (int i = 0; i < 300; ++i) {
+    int out = me + i;
+    int in = 0;
+    env->sendrecv(&out, 1, mpi::Datatype::Int, (me + 1) % n, 4, &in, 1,
+                  mpi::Datatype::Int, (me + n - 1) % n, 4);
+    long v = in;
+    long sum = 0;
+    env->allreduce(&v, &sum, 1, mpi::Datatype::Long,
+                   mpi::Op::builtin(mpi::OpKind::Sum));
+    acc += sum;
+  }
+  return reinterpret_cast<void*>(static_cast<std::intptr_t>(acc));
+}
+
+}  // namespace
+
+// The per-PE locality, collective, steal and idle counters are written by
+// the PE threads and summed by locality_counters() / sched_counters() from
+// any thread. Reading them while the job runs must be race-free (TSan
+// checks it here) and must see them only grow.
+TEST(SanStress, CountersReadWhileJobRuns) {
+  img::ImageBuilder b("countertraffic");
+  b.add_global<int>("unused", 0);
+  b.add_function("mpi_main", &counter_traffic_main);
+  const img::ProgramImage image = b.build();
+  mpi::RuntimeConfig cfg;
+  cfg.nodes = 1;
+  cfg.pes_per_node = 2;
+  cfg.vps = 6;
+  cfg.method = core::Method::PIEglobals;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  mpi::Runtime rt(image, cfg);
+
+  std::atomic<bool> done{false};
+  std::uint64_t reads = 0;
+  bool monotonic = true;
+  std::thread reader([&] {
+    std::uint64_t last_sends = 0, last_coll = 0, last_idle = 0;
+    while (!done.load()) {
+      const util::Counters lc = rt.locality_counters();
+      const util::Counters sc = rt.sched_counters();
+      const std::uint64_t sends =
+          lc.get("inline_hits") + lc.get("inline_misses");
+      const std::uint64_t coll = lc.get("coll_local_combines") +
+                                 lc.get("coll_shared_rendezvous");
+      const std::uint64_t idle =
+          sc.get("sched_parks") + sc.get("sched_spin_wakes");
+      monotonic = monotonic && sends >= last_sends && coll >= last_coll &&
+                  idle >= last_idle;
+      last_sends = sends;
+      last_coll = coll;
+      last_idle = idle;
+      ++reads;
+      std::this_thread::yield();
+    }
+  });
+  rt.start();
+  rt.wait_finish();
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(monotonic);
+  EXPECT_GT(reads, 0u);
+  const util::Counters lc = rt.locality_counters();
+  EXPECT_GT(lc.get("inline_hits") + lc.get("inline_misses"), 0u);
+  EXPECT_GT(lc.get("coll_local_combines"), 0u);
 }
 
 #if APV_ASAN
